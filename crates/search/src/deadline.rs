@@ -109,36 +109,25 @@ impl DeadlineBudget {
     }
 
     /// True when the budget runs on the synthetic clock (only explicit
-    /// charges advance it). The scatter-gather tier uses this to decide
-    /// whether per-shard synthetic charges must be folded back into the
-    /// parent budget after the join.
+    /// charges advance it). Slices keep their parent's kind of clock.
     pub fn is_synthetic(&self) -> bool {
         matches!(self.clock, Clock::Synthetic)
     }
 
-    /// A fresh budget covering this budget's remaining time, on the same
-    /// *kind* of clock, with no synthetic charges carried over. Scatter
-    /// workers get one slice each: `DeadlineBudget` is deliberately not
-    /// `Sync` (the synthetic counter is a `Cell`), so each worker owns its
-    /// slice and the parent is charged back at the join.
-    pub fn slice(&self) -> DeadlineBudget {
-        let clock =
-            if self.is_synthetic() { Clock::synthetic() } else { Clock::monotonic() };
-        DeadlineBudget::with_clock(clock, self.remaining())
-    }
-
-    /// Synthetic charges accumulated so far (what `slice()` consumers
-    /// report back to the parent budget).
+    /// Synthetic charges accumulated so far (what a slice's owner charges
+    /// back to the parent budget).
     pub fn synthetic_spent(&self) -> Duration {
         self.synthetic.get()
     }
 
-    /// A slice covering `1/divisor` of the remaining time (unlimited
-    /// stays unlimited). The scatter tier hands first attempts half the
-    /// remaining budget so a straggler that blows its slice leaves
-    /// headroom for the hedged retry; the parent is charged back at most
-    /// the slice's allowance (a worker is abandoned at its slice
-    /// deadline, however long it would have stalled).
+    /// A fresh budget covering `1/divisor` of this budget's remaining
+    /// time (unlimited stays unlimited), on the same *kind* of clock, with
+    /// no synthetic charges carried over. The scatter tier hands each
+    /// shard's first attempt half the remaining budget so a straggler that
+    /// blows its slice leaves headroom for the hedged retry. Charging the
+    /// parent is the caller's choice: the scatter tier charges back at
+    /// most the slice's allowance, so under the synthetic clock a shard
+    /// costs no more than its slice however long its stall.
     pub fn slice_div(&self, divisor: u32) -> DeadlineBudget {
         let clock =
             if self.is_synthetic() { Clock::synthetic() } else { Clock::monotonic() };
@@ -192,7 +181,7 @@ mod tests {
     fn slice_covers_remaining_and_keeps_clock_kind() {
         let b = DeadlineBudget::synthetic(Duration::from_millis(100));
         b.charge(Duration::from_millis(30));
-        let s = b.slice();
+        let s = b.slice_div(1);
         assert!(s.is_synthetic());
         assert_eq!(s.remaining(), Some(Duration::from_millis(70)));
         assert_eq!(s.synthetic_spent(), Duration::ZERO);
@@ -202,7 +191,7 @@ mod tests {
         assert_eq!(s.synthetic_spent(), Duration::from_millis(50));
 
         let unlimited = DeadlineBudget::unlimited();
-        let s = unlimited.slice();
+        let s = unlimited.slice_div(1);
         assert!(!s.is_synthetic());
         assert_eq!(s.remaining(), None);
     }

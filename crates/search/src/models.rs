@@ -291,6 +291,7 @@ impl Drop for PinnedModel {
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicBool;
+    use std::sync::Barrier;
 
     /// A rewriter whose single rewrite names the epoch it was built for,
     /// so a torn swap would be visible as an epoch/output mismatch.
@@ -387,10 +388,14 @@ mod tests {
         // agree with its stamped epoch (tag == epoch by construction).
         let store = ModelStore::new(TagRewriter::shared(1));
         let stop = Arc::new(AtomicBool::new(false));
+        // Publishing starts only once every reader has pinned, so the
+        // readers cannot all miss a publisher that finishes first.
+        let started = Arc::new(Barrier::new(5));
         let mut readers = Vec::new();
         for _ in 0..4 {
             let store = Arc::clone(&store);
             let stop = Arc::clone(&stop);
+            let started = Arc::clone(&started);
             readers.push(std::thread::spawn(move || {
                 let mut seen = 0u64;
                 while !stop.load(SeqCst) {
@@ -402,10 +407,14 @@ mod tests {
                         pin.epoch()
                     );
                     seen += 1;
+                    if seen == 1 {
+                        started.wait();
+                    }
                 }
                 seen
             }));
         }
+        started.wait();
         for t in 2..200 {
             store.publish(TagRewriter::shared(t));
         }

@@ -22,9 +22,9 @@
 //! Engines built with [`SearchEngine::sharded`] /
 //! [`SearchEngine::sharded_live`] serve retrieval and ranking through the
 //! document-sharded tier in [`crate::shard`]: per-shard tree traversals
-//! run on scoped worker threads under per-shard [`DeadlineBudget`]
-//! slices, a slow shard is hedged once, a panicking / stalled /
-//! breaker-open shard is excluded wholly and the request degrades to
+//! run in shard order on the calling thread under per-shard
+//! [`DeadlineBudget`] slices, a slow shard is hedged once, a panicking /
+//! stalled / breaker-open shard is excluded wholly and the request degrades to
 //! **partial results** (`shards_ok < shards_total`, recorded as
 //! [`ServeError::PartialResults`]) instead of failing. A healthy sharded
 //! response is byte-identical to the monolithic response at every shard
@@ -1127,14 +1127,16 @@ impl SearchEngine {
     }
 
     /// Scatter-gather retrieval + ranking over the sharded tier. Two
-    /// parallel phases on scoped worker threads, both replicating the
-    /// monolithic `retrieve_and_rank` flow exactly:
+    /// phases, each a loop over the shards in shard order on the calling
+    /// thread (the serving worker that owns the request: requests run in
+    /// parallel across workers, shards within a request do not), both
+    /// replicating the monolithic `retrieve_and_rank` flow exactly:
     ///
     /// 1. **Scatter/traverse** — every admitted shard evaluates the base
     ///    tree plus the merged (or per-rewrite) trees against its local
     ///    index under its own [`DeadlineBudget`] slice, returning
     ///    globally-sorted doc lists, partition-additive costs and local
-    ///    BM25 statistics. A panicking shard is caught per-worker; a
+    ///    BM25 statistics. A panicking shard is caught per shard; a
     ///    stalled/expired shard is hedged once (sequentially, so retries
     ///    are deterministic) while the parent budget allows.
     /// 2. **Gather + rank** — per-tree doc lists are k-way-unioned, costs
@@ -1206,7 +1208,7 @@ impl SearchEngine {
             }
         }
 
-        // ---- Phase 1: parallel per-shard traversals -----------------
+        // ---- Phase 1: per-shard traversals ---------------------------
         let injector = cat.injector();
         // One breaker consult per shard per request, in shard order on
         // this thread — the cooldown schedule stays deterministic.
@@ -1252,48 +1254,30 @@ impl SearchEngine {
         let mut hedged: Vec<bool> = vec![false; n];
 
         // First attempts get *half* the remaining budget each: a shard
-        // that blows its slice is abandoned at the slice deadline, which
-        // leaves headroom for the hedged retry below. The parent is
-        // charged back at most the slice allowance — a worker cannot
-        // consume more time than it was given.
+        // that blows its slice counts as abandoned at the slice deadline,
+        // which leaves headroom for the hedged retry below. The parent is
+        // charged back at most the slice allowance, and only the *maximum*
+        // synthetic charge across slices, not the sum — first attempts are
+        // accounted as concurrent, so a stalled shard costs its stall once.
         let phase1_cap = budget.remaining().map(|r| r / 2);
         let mut max_spent = Duration::ZERO;
-        std::thread::scope(|scope| {
-            let worker = &traverse_one;
-            let handles: Vec<_> = (0..n)
-                .filter(|&i| admitted[i])
-                .map(|i| {
-                    let slice = budget.slice_div(2);
-                    scope.spawn(move || {
-                        let out = worker(i, &slice);
-                        (i, out, slice.synthetic_spent(), slice.elapsed())
-                    })
-                })
-                .collect();
-            for h in handles {
-                // Worker bodies are panic-proof (catch_unwind inside), so
-                // a join error cannot name its shard; it is unreachable
-                // and safely ignored.
-                if let Ok((i, out, spent, latency)) = h.join() {
-                    // Workers ran in parallel: the parent is charged the
-                    // *maximum* synthetic charge across slices, not the
-                    // sum — a stalled shard costs its stall once.
-                    let spent = match phase1_cap {
-                        Some(cap) => spent.min(cap),
-                        None => spent,
-                    };
-                    max_spent = max_spent.max(spent);
-                    latencies[i] = latency;
-                    match out {
-                        Ok(tr) => traversals[i] = Some(tr),
-                        Err(phase) => {
-                            statuses[i] = phase;
-                            failure_counts[i] += 1;
-                        }
-                    }
+        for i in (0..n).filter(|&i| admitted[i]) {
+            let slice = budget.slice_div(2);
+            let out = traverse_one(i, &slice);
+            let spent = match phase1_cap {
+                Some(cap) => slice.synthetic_spent().min(cap),
+                None => slice.synthetic_spent(),
+            };
+            max_spent = max_spent.max(spent);
+            latencies[i] = slice.elapsed();
+            match out {
+                Ok(tr) => traversals[i] = Some(tr),
+                Err(phase) => {
+                    statuses[i] = phase;
+                    failure_counts[i] += 1;
                 }
             }
-        });
+        }
         if max_spent > Duration::ZERO {
             budget.charge(max_spent);
         }
@@ -1432,31 +1416,17 @@ impl SearchEngine {
                 parts[sharded.route(d)].push(d);
             }
 
-            let score_one = |i: usize| -> Result<Vec<(f64, usize)>, ()> {
-                catch_unwind(AssertUnwindSafe(|| {
-                    sharded.shard(i).rank_candidates(&terms, avg, &parts[i], config.top_k)
-                }))
-                .map_err(|_| ())
-            };
             let mut round_failures: Vec<usize> = Vec::new();
             let mut streams: Vec<Vec<(f64, usize)>> = Vec::new();
-            std::thread::scope(|scope| {
-                let worker = &score_one;
-                let handles: Vec<_> = survivors
-                    .iter()
-                    .copied()
-                    .filter(|&i| !parts[i].is_empty())
-                    .map(|i| scope.spawn(move || (i, worker(i))))
-                    .collect();
-                for h in handles {
-                    if let Ok((i, out)) = h.join() {
-                        match out {
-                            Ok(s) => streams.push(s),
-                            Err(()) => round_failures.push(i),
-                        }
-                    }
+            for &i in survivors.iter().filter(|&&i| !parts[i].is_empty()) {
+                let out = catch_unwind(AssertUnwindSafe(|| {
+                    sharded.shard(i).rank_candidates(&terms, avg, &parts[i], config.top_k)
+                }));
+                match out {
+                    Ok(s) => streams.push(s),
+                    Err(_) => round_failures.push(i),
                 }
-            });
+            }
             if !round_failures.is_empty() {
                 // A shard died between phases: exclude it wholly (its
                 // phase-1 contribution too) and re-gather.
@@ -1484,10 +1454,9 @@ impl SearchEngine {
             s.attr("merged", use_merged);
             s.attr("outcome", if shards_ok < n { "partial" } else { "complete" });
         }
-        // Gather children: exactly one per shard, created sequentially in
-        // shard order on this thread (workers never touch the tracer), so
-        // the canonical trace structure is identical under any worker
-        // interleaving or shard count.
+        // Gather children: exactly one per shard, created in shard order
+        // after phase 1 (per-shard work never touches the tracer), so the
+        // canonical trace structure is identical at any shard count.
         if let (Some(c), Some(parent)) = (ctx, scatter_span.as_ref()) {
             for i in 0..n {
                 let mut g = c.tracer.span(c.trace, Some(parent.id()), "gather");

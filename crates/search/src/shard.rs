@@ -346,7 +346,7 @@ pub enum ShardFault {
     KillRebalance,
 }
 
-/// Injects [`ShardFault`]s at the scatter executor's per-shard hooks.
+/// Injects [`ShardFault`]s at the scatter-gather tier's per-shard hooks.
 /// Shared `Arc`-style like the churn injector; all hooks are deterministic
 /// (fire counts, not wall time).
 #[derive(Debug)]
@@ -391,8 +391,9 @@ impl ShardFaultInjector {
     }
 
     /// Scatter hook, called at the start of every per-shard traversal
-    /// (hedged retries included). May panic (panic/poison faults) or
-    /// charge the worker's deadline slice (stall faults).
+    /// (hedged retries included), on the thread serving the request. May
+    /// panic (panic/poison faults) or charge the shard's deadline slice
+    /// (stall faults).
     pub fn on_traverse(&self, shard: usize, slice: &DeadlineBudget) {
         match &self.plan {
             ShardFault::PanicOnShard { shard: s, times }

@@ -713,6 +713,7 @@ impl CatalogWriter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Barrier;
 
     fn toks(s: &str) -> Vec<String> {
         s.split_whitespace().map(str::to_string).collect()
@@ -814,10 +815,14 @@ mod tests {
         // construction, each epoch adds exactly one doc).
         let (store, mut writer) = CatalogWriter::bootstrap(docs());
         let stop = Arc::new(AtomicBool::new(false));
+        // Publishing starts only once every reader has pinned, so the
+        // readers cannot all miss a publisher that finishes first.
+        let started = Arc::new(Barrier::new(5));
         let mut readers = Vec::new();
         for _ in 0..4 {
             let store = Arc::clone(&store);
             let stop = Arc::clone(&stop);
+            let started = Arc::clone(&started);
             readers.push(std::thread::spawn(move || {
                 let mut seen = 0u64;
                 while !stop.load(SeqCst) {
@@ -829,10 +834,14 @@ mod tests {
                         pin.epoch()
                     );
                     seen += 1;
+                    if seen == 1 {
+                        started.wait();
+                    }
                 }
                 seen
             }));
         }
+        started.wait();
         for i in 0..200 {
             writer.apply(MutationBatch::new().add_doc(toks(&format!("churn doc{i}")))).unwrap();
         }

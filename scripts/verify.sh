@@ -72,6 +72,9 @@
 # BENCH_online.json at the repo root. When QRW_VERIFY_BUDGET is set to
 # "full", the run extends to 5 days with a 2x per-tick step budget.
 #
+# Always runs the serving benchmark's own tests (perfbench/, a package of
+# its own) after the workspace tests.
+#
 # Always runs the test-inventory guard: every crates/*/src module must
 # either contain #[test]s or be exercised by that crate's integration
 # tests (re-export-only entry points are whitelisted below).
@@ -152,6 +155,9 @@ cargo build --release --offline --workspace
 
 echo "== tests (offline) =="
 cargo test -q --offline --workspace
+
+echo "== benchmark self-tests (offline, release) =="
+cargo test --release --offline --manifest-path perfbench/Cargo.toml -- --test-threads 1
 
 echo "== clippy (offline, warnings are errors) =="
 cargo clippy --offline --workspace --all-targets -- -D warnings
